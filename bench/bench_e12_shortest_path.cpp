@@ -1,8 +1,8 @@
 // E12 — Substrate microbenchmark: point-to-point shortest paths.
 //
-// The matchers' exact-distance cost center. Compares Dijkstra,
-// bidirectional Dijkstra and A* (Euclidean heuristic), plus the effect
-// of the oracle's LRU pair cache under a matching-like access pattern.
+// The matchers' exact-distance cost center. Compares Dijkstra, A*
+// (Euclidean heuristic) and contraction hierarchies, plus the effect of
+// the oracle's LRU pair cache under a matching-like access pattern.
 
 #include <benchmark/benchmark.h>
 
@@ -78,9 +78,6 @@ void BM_PointToPoint(benchmark::State& state, roadnet::SpAlgorithm algo,
 void BM_Dijkstra(benchmark::State& s) {
   BM_PointToPoint(s, roadnet::SpAlgorithm::kDijkstra, 0);
 }
-void BM_Bidirectional(benchmark::State& s) {
-  BM_PointToPoint(s, roadnet::SpAlgorithm::kBidirectional, 0);
-}
 void BM_AStar(benchmark::State& s) {
   BM_PointToPoint(s, roadnet::SpAlgorithm::kAStar, 0);
 }
@@ -96,7 +93,6 @@ void BM_CHCached(benchmark::State& s) {
 }
 
 BENCHMARK(BM_Dijkstra)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_Bidirectional)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_AStar)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_AStarCached)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_CH)->Unit(benchmark::kMicrosecond);
@@ -107,12 +103,12 @@ BENCHMARK(BM_CHCached)->Unit(benchmark::kMicrosecond);
 int main(int argc, char** argv) {
   ptrider::bench::PrintHeader(
       "E12", "shortest-path substrate",
-      "p2p query latency: Dijkstra vs bidirectional vs A* vs cached "
-      "oracle on a 4.9k-vertex city");
+      "p2p query latency: Dijkstra vs A* vs CH vs cached oracle on a "
+      "4.9k-vertex city");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   std::printf(
-      "\nShape check: CH < A* < bidirectional < Dijkstra on planar city\n"
+      "\nShape check: CH < A* < Dijkstra on planar city\n"
       "graphs (CH pays one-time preprocessing, excluded above via the\n"
       "shared-index clone); the LRU cache collapses repeated matcher\n"
       "queries. E17 measures the CH trade in detail.\n");

@@ -1,28 +1,29 @@
 // E22 — pipelined tick engine: the same city-day simulation at
-// pipeline_depth 1/2/3 (DESIGN.md section 15).
+// pipeline_depth 1 and 3 (DESIGN.md section 15).
 //
-// Depth 1 is the historical strictly-sequential loop. Depth 2 runs each
-// boundary window's match stage (read-only against a frozen
-// fleet/index/pricing snapshot) concurrently with the movement advance
-// of the tick it rides on. Depth 3 additionally floats reindex batches
-// onto a stage thread, overlapping them with later ticks until a reader
-// joins them. A determinism signature over the report's semantic fields
-// asserts every depth produced the identical simulation — depth buys
-// wall clock, never a different answer.
+// Depth 1 is the strictly sequential loop. Every depth >= 2 runs one
+// schedule: each tick's end-of-tick index re-registration batch floats
+// onto a stage thread and overlaps later ticks until the next window's
+// dispatch joins it. A determinism signature over the report's semantic
+// fields asserts both depths produced the identical simulation — depth
+// buys wall clock, never a different answer.
 //
-// The table splits the wall clock by phase. At depth >= 2 the phase
-// columns OVERLAP and may sum past wall(s): `fill` is the span that ran
-// concurrently (the win), `stall` the span the driver spent blocked on
-// an unfinished stage (the pipeline-empty cost). On the 2-core dev
-// container expect modest fill; re-measure on real multicore before
-// reading the curve.
+// Each depth runs three times, interleaved (1, 3, 1, 3, 1, 3) so slow
+// stretches of a shared machine hit both alike; the table and JSON
+// report the median wall clock and the median process CPU time. At
+// depth 3 the phase columns OVERLAP and may sum past wall(s): `fill` is
+// the span that ran concurrently, `stall` the span the driver spent
+// blocked joining a floated batch.
 //
 // Usage: bench_e22_pipeline [taxis] [trips] [hours] [--ci]
-//   --ci: small workload, signature assertions only, no JSON (seconds).
+//   --ci: small workload, one run per depth, signature assertions only,
+//         no JSON (seconds).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 #include <thread>
 #include <vector>
 
@@ -62,6 +63,23 @@ uint64_t ReportSignature(const ptrider::sim::SimulationReport& r) {
   return h;
 }
 
+/// CPU seconds of every thread of this process so far.
+double ProcessCpuSeconds() {
+  return static_cast<double>(std::clock()) / CLOCKS_PER_SEC;
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// One depth's runs; `cpu` is process CPU time over each run.
+struct Runs {
+  int depth;
+  std::vector<double> wall, cpu, match, advance, commit, reindex, fill,
+      stall;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -90,10 +108,11 @@ int main(int argc, char** argv) {
     num_trips = 400;
     hours = 0.25;
   }
+  const int reps = ci ? 1 : 3;
 
   bench::PrintHeader(
-      "E22", "pipelined tick engine (match/move/reindex overlap)",
-      "city-day simulation wall clock at pipeline depth 1/2/3");
+      "E22", "pipelined tick engine (floated reindex)",
+      "city-day simulation wall and CPU time at pipeline depth 1 and 3");
 
   auto graph = bench::MakeBenchCity(ci ? 18 : 36, ci ? 18 : 36);
   if (!graph.ok()) return 1;
@@ -107,9 +126,9 @@ int main(int argc, char** argv) {
     core::Config cfg;
     cfg.matcher = core::MatcherAlgorithm::kDualSide;
     cfg.max_planned_pickup_s = cfg.default_max_wait_s;
-    // The configuration the pipeline is built for: a staged parallel
-    // dispatcher and a sharded index, so depth 2 has a window match to
-    // overlap and depth 3 has shard-masked reindex batches to float.
+    // Parallel dispatch, parallel movement and a sharded index: the
+    // floated batches meet both worker pools and, with 4 shards, can
+    // apply concurrently when their shard masks are disjoint.
     cfg.dispatch_threads = 2;
     cfg.index_shards = 4;
     sim::SimulatorOptions sopts;
@@ -123,65 +142,65 @@ int main(int argc, char** argv) {
   const unsigned hw_threads = std::thread::hardware_concurrency();
   std::printf(
       "workload: %zu trips / %zu taxis / %.2f h (+drain); "
-      "%u hardware threads\n\n",
-      trips->size(), taxis, hours, hw_threads);
-  std::printf("%5s %8s %8s %8s %8s %8s %8s %8s %11s\n", "depth",
-              "wall(s)", "match(s)", "adv(s)", "commit(s)", "reidx(s)",
-              "fill(s)", "stall(s)", "signature");
+      "%u hardware threads; %d run(s) per depth, medians shown\n\n",
+      trips->size(), taxis, hours, hw_threads, reps);
 
-  struct Row {
-    int depth;
-    double wall, match, advance, commit, reindex, fill, stall;
-  };
-  std::vector<Row> rows;
+  std::vector<Runs> runs = {{1, {}, {}, {}, {}, {}, {}, {}, {}},
+                            {3, {}, {}, {}, {}, {}, {}, {}, {}}};
   uint64_t reference_signature = 0;
+  bool have_reference = false;
   size_t completed = 0;
-  double base_wall = 0.0;
-  for (const int depth : {1, 2, 3}) {
-    auto report = run(depth);
-    if (!report.ok()) {
-      std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
-      return 1;
-    }
-    const uint64_t signature = ReportSignature(*report);
-    if (depth == 1) {
-      reference_signature = signature;
-      completed = static_cast<size_t>(report->requests_completed);
-      base_wall = report->wall_clock_seconds;
-      if (report->pipeline_fill_seconds != 0.0 ||
-          report->pipeline_stall_seconds != 0.0) {
+  for (int rep = 0; rep < reps; ++rep) {
+    for (Runs& r : runs) {
+      const double cpu0 = ProcessCpuSeconds();
+      auto report = run(r.depth);
+      const double cpu = ProcessCpuSeconds() - cpu0;
+      if (!report.ok()) {
+        std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
+        return 1;
+      }
+      const uint64_t signature = ReportSignature(*report);
+      if (!have_reference) {
+        reference_signature = signature;
+        have_reference = true;
+        completed = static_cast<size_t>(report->requests_completed);
+      } else if (signature != reference_signature) {
+        std::printf("DETERMINISM VIOLATION at pipeline depth %d\n",
+                    r.depth);
+        return 1;
+      }
+      if (r.depth == 1 && (report->pipeline_fill_seconds != 0.0 ||
+                           report->pipeline_stall_seconds != 0.0)) {
         std::printf(
             "FAIL: depth 1 engaged the pipeline (fill/stall nonzero)\n");
         return 1;
       }
-    } else if (signature != reference_signature) {
-      std::printf("DETERMINISM VIOLATION at pipeline depth %d\n", depth);
-      return 1;
+      r.wall.push_back(report->wall_clock_seconds);
+      r.cpu.push_back(cpu);
+      r.match.push_back(report->match_phase_seconds);
+      r.advance.push_back(report->move_advance_seconds);
+      r.commit.push_back(report->move_commit_seconds);
+      r.reindex.push_back(report->index_update_seconds);
+      r.fill.push_back(report->pipeline_fill_seconds);
+      r.stall.push_back(report->pipeline_stall_seconds);
     }
-    std::printf("%5d %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f %11llx\n",
-                depth, report->wall_clock_seconds,
-                report->match_phase_seconds,
-                report->move_advance_seconds,
-                report->move_commit_seconds,
-                report->index_update_seconds,
-                report->pipeline_fill_seconds,
-                report->pipeline_stall_seconds,
-                static_cast<unsigned long long>(signature));
-    rows.push_back({depth, report->wall_clock_seconds,
-                    report->match_phase_seconds,
-                    report->move_advance_seconds,
-                    report->move_commit_seconds,
-                    report->index_update_seconds,
-                    report->pipeline_fill_seconds,
-                    report->pipeline_stall_seconds});
+  }
+
+  std::printf("%5s %8s %8s %8s %8s %9s %8s %8s %8s %8s\n", "depth",
+              "wall(s)", "cpu(s)", "match(s)", "adv(s)", "commit(s)",
+              "reidx(s)", "fill(s)", "stall(s)", "speedup");
+  const double base_wall = Median(runs[0].wall);
+  for (const Runs& r : runs) {
+    std::printf(
+        "%5d %8.3f %8.3f %8.3f %8.3f %9.3f %8.3f %8.3f %8.3f %7.3fx\n",
+        r.depth, Median(r.wall), Median(r.cpu), Median(r.match),
+        Median(r.advance), Median(r.commit), Median(r.reindex),
+        Median(r.fill), Median(r.stall), base_wall / Median(r.wall));
   }
   std::printf(
-      "\nAll pipeline depths produced the identical simulation "
-      "(%zu trips completed).\nAt depth >= 2 the phase columns overlap "
-      "and may sum past wall(s); `fill`\nis the concurrently-executed "
-      "span, `stall` the driver's wait on an\nunfinished stage "
-      "(DESIGN.md section 15).\n",
-      completed);
+      "\nBoth pipeline depths produced the identical simulation "
+      "(signature %llx, %zu trips completed).\n",
+      static_cast<unsigned long long>(reference_signature), completed);
 
   if (ci) {
     std::printf("--ci: determinism and phase-split assertions passed\n");
@@ -195,20 +214,24 @@ int main(int argc, char** argv) {
                "  \"taxis\": %zu,\n  \"trips\": %zu,\n"
                "  \"hours\": %.2f,\n  \"hardware_threads\": %u,\n"
                "  \"dispatch_threads\": 2,\n  \"index_shards\": 4,\n"
-               "  \"move_jobs\": 2,\n  \"deterministic\": true,\n"
-               "  \"runs\": [",
-               taxis, trips->size(), hours, hw_threads);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
+               "  \"move_jobs\": 2,\n  \"runs_per_depth\": %d,\n"
+               "  \"statistic\": \"median\",\n"
+               "  \"deterministic\": true,\n  \"runs\": [",
+               taxis, trips->size(), hours, hw_threads, reps);
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const Runs& r = runs[i];
     std::fprintf(
         json,
         "%s\n    {\"pipeline_depth\": %d, \"wall_seconds\": %.4f, "
-        "\"match_seconds\": %.4f, \"move_advance_seconds\": %.4f, "
-        "\"move_commit_seconds\": %.4f, \"index_update_seconds\": %.4f, "
+        "\"cpu_seconds\": %.4f, \"match_seconds\": %.4f, "
+        "\"move_advance_seconds\": %.4f, \"move_commit_seconds\": %.4f, "
+        "\"index_update_seconds\": %.4f, "
         "\"pipeline_fill_seconds\": %.4f, "
         "\"pipeline_stall_seconds\": %.4f, \"speedup\": %.3f}",
-        i == 0 ? "" : ",", r.depth, r.wall, r.match, r.advance, r.commit,
-        r.reindex, r.fill, r.stall, base_wall / r.wall);
+        i == 0 ? "" : ",", r.depth, Median(r.wall), Median(r.cpu),
+        Median(r.match), Median(r.advance), Median(r.commit),
+        Median(r.reindex), Median(r.fill), Median(r.stall),
+        base_wall / Median(r.wall));
   }
   std::fprintf(json, "\n  ]\n}\n");
   std::fclose(json);

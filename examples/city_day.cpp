@@ -7,7 +7,7 @@
 // Usage:  ./build/examples/example_city_day [taxis] [trips] [hours]
 //             [--jobs N] [--batch-window S] [--move-jobs N]
 //             [--index-shards N] [--pipeline-depth N]
-//             [--sp-algo dijkstra|bidirectional|astar|ch]
+//             [--sp-algo dijkstra|astar|ch]
 //             [--snapshot FILE]
 // Defaults: 150 taxis, 2000 trips, 4 hours, sequential per-request
 // dispatch. `--jobs N` matches arrivals in parallel on N worker threads
@@ -18,14 +18,12 @@
 // commit-side re-registrations apply shard-concurrently; `--sp-algo`
 // picks the distance oracle's point-to-point engine (`ch` preprocesses
 // a contraction hierarchy once, shared by every worker thread's oracle
-// clone); `--pipeline-depth` stage-pipelines the tick engine (2 overlaps
-// window matching with movement, 3 also floats reindex batches across
-// ticks — DESIGN.md section 15). Results are identical for every
-// `--jobs` / `--move-jobs` /
-// `--index-shards` / `--pipeline-depth` value — only the wall clock
-// moves — and for every
-// `--sp-algo` except `bidirectional`, whose half-path sums can differ
-// in the last float bit (DESIGN.md section 7). `--snapshot FILE` skips
+// clone); `--pipeline-depth` 2 or more floats each tick's index
+// re-registration batch onto a stage thread, overlapping later ticks
+// (batched runs only — DESIGN.md section 15). Results are identical for
+// every `--jobs` / `--move-jobs` / `--index-shards` / `--pipeline-depth`
+// / `--sp-algo` value — only the wall clock moves (DESIGN.md
+// section 7 states when engines agree exactly). `--snapshot FILE` skips
 // city generation and all index preprocessing by memory-mapping a file
 // written by tools/snapshot_build — same simulation results, startup in
 // milliseconds (DESIGN.md section 12).
@@ -80,7 +78,7 @@ int main(int argc, char** argv) {
       if (!roadnet::SpAlgorithmFromName(argv[++i], &sp_algo)) {
         std::fprintf(stderr,
                      "--sp-algo: unknown algorithm '%s' (expected "
-                     "dijkstra, bidirectional, astar or ch)\n",
+                     "dijkstra, astar or ch)\n",
                      argv[i]);
         return 1;
       }
@@ -215,10 +213,8 @@ int main(int argc, char** argv) {
   std::printf("Movement: %d thread(s), vehicle index in %zu shard(s)\n",
               move_jobs, pt.vehicle_index().num_shards());
   std::printf("Pipeline: depth %d%s\n\n", pipeline_depth,
-              pipeline_depth >= 3
-                  ? " (overlapped match, floated reindex)"
-                  : (pipeline_depth == 2 ? " (overlapped match)"
-                                         : " (sequential tick loop)"));
+              pipeline_depth >= 2 ? " (floated reindex)"
+                                  : " (sequential tick loop)");
 
   sim::SimulatorOptions sopts;
   sopts.verbose = true;

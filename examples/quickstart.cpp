@@ -29,8 +29,7 @@ int main() {
   // shares the index across worker clones).
   std::printf("\nShortest-path engines, dist(v2,v16) / dist(v12,v17):\n");
   for (const roadnet::SpAlgorithm algo :
-       {roadnet::SpAlgorithm::kDijkstra,
-        roadnet::SpAlgorithm::kBidirectional, roadnet::SpAlgorithm::kAStar,
+       {roadnet::SpAlgorithm::kDijkstra, roadnet::SpAlgorithm::kAStar,
         roadnet::SpAlgorithm::kContractionHierarchy}) {
     roadnet::DistanceOracleOptions oopts;
     oopts.algorithm = algo;

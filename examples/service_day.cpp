@@ -20,7 +20,9 @@
 // bounded ingestion backpressure, and `--storm` injects a deterministic
 // fault schedule (arrival burst at --burst-rate extra req/s, cost spike,
 // worker stall, capacity squeeze, malformed/expired requests) seeded by
-// --storm-seed.
+// --storm-seed. `--pipeline-depth N` with N >= 2 floats each movement
+// tick's index re-registration batch onto a stage thread (DESIGN.md
+// section 15); reports are identical at every depth.
 // Default: 100 taxis, 600 requests/min for 20 minutes on a 30x30 city,
 // virtual clock (deterministic; --wall-clock runs it live instead, with
 // --speedup simulated seconds per wall second). `--snapshot FILE` serves
@@ -211,11 +213,13 @@ int main(int argc, char** argv) {
 
   std::printf(
       "service_day: %zu taxis, %.0f req/min for %.0f min, window %.1fs, "
-      "queue %zu, deadline %.1fs, %s clock, pipeline depth %d, "
+      "queue %zu, deadline %.1fs, %s clock, pipeline depth %d (%s), "
       "ladder %s, zones %zu, retries %d\n",
       taxis, rate_per_min, minutes, opts.batch_window_s, opts.queue_capacity,
       opts.shed_deadline_s, opts.virtual_clock ? "virtual" : "wall",
-      opts.pipeline_depth, opts.ladder.enabled ? "on" : "off",
+      opts.pipeline_depth,
+      opts.pipeline_depth >= 2 ? "floated reindex" : "sequential",
+      opts.ladder.enabled ? "on" : "off",
       opts.zone_admission.zones, opts.ingest_retry.max_attempts);
 
   service::DispatchService server(*system, opts);

@@ -59,41 +59,6 @@ struct DegradeMode {
   bool IsFull() const { return !skip_full_rematch && effort.IsFullEffort(); }
 };
 
-/// Optional staged capability of a Dispatcher, split out for the
-/// pipelined tick engine (DESIGN.md section 15): Dispatch decomposed
-/// into three separately schedulable stages so the read-only sharded
-/// match can overlap other pipeline stages (the same tick's movement
-/// advance) while the mutating commit stays on the driver thread.
-///
-/// Protocol (single-owner): PrepareMatch on the owning thread; if it
-/// returns true, RunMatch may run on ONE other thread — the caller
-/// provides the ordering (e.g. dispatch::PipelineExecutor's annotated
-/// join) so the calls never overlap; then CommitMatch back on the owning
-/// thread. If PrepareMatch returns false (a precondition forces the
-/// sequential fallback), skip RunMatch and call CommitMatch directly.
-/// Dispatch() is exactly the three in sequence, so staged and monolithic
-/// invocations produce identical BatchItem sequences.
-class StagedDispatcher {
- public:
-  virtual ~StagedDispatcher() = default;
-
-  /// Stage A (owning thread, mutating): sorts the batch into
-  /// (submit_time, id) order and replays validation / demand records /
-  /// pricing snapshots. Returns false when the batch must take the
-  /// sequential fallback (the batch is retained either way).
-  virtual bool PrepareMatch(std::vector<vehicle::Request> batch,
-                            double now_s) = 0;
-  /// Stage B (any one thread, read-only): the sharded match against the
-  /// frozen pre-batch fleet. Only legal after PrepareMatch returned
-  /// true.
-  virtual void RunMatch() = 0;
-  /// Stage C (owning thread, mutating): the sequential commit — or, when
-  /// PrepareMatch returned false, the whole sequential fallback
-  /// dispatch.
-  virtual util::Result<std::vector<BatchItem>> CommitMatch(
-      const BatchChooser& chooser) = 0;
-};
-
 /// Batch-dispatch strategy interface. Every implementation realizes the
 /// paper's greedy semantics for simultaneous requests (Section 2.5):
 /// requests are committed one at a time in ascending (submit_time, id)
@@ -135,11 +100,6 @@ class Dispatcher {
   void SetMatchObserver(MatchObserver observer) {
     observer_ = std::move(observer);
   }
-
-  /// The staged capability, or null when this dispatcher only supports
-  /// monolithic Dispatch (the pipeline driver then runs the stages in
-  /// the sequential order — dispatch, then movement).
-  virtual StagedDispatcher* staged() { return nullptr; }
 
  protected:
   MatchObserver observer_;

@@ -80,10 +80,9 @@ struct Config {
   /// beyond float rounding (all generated networks and the paper
   /// example — DESIGN.md section 7.4 states the condition), making
   /// matching and simulation results invariant under the choice there.
-  /// kBidirectional's half-path sums can differ in the last ULP, and on
-  /// coarse-weight networks with rounding-tied paths (e.g. real-trace
-  /// imports) the invariance claim weakens to ULP-closeness for every
-  /// engine. This knob trades per-query cost against preprocessing:
+  /// On coarse-weight networks with rounding-tied paths (e.g. real-trace
+  /// imports) the invariance claim weakens to ULP-closeness. This knob
+  /// trades per-query cost against preprocessing:
   /// kContractionHierarchy preprocesses once at PTRider::Create and the
   /// index is shared read-only by every dispatch/movement worker's
   /// oracle clone.

@@ -52,11 +52,15 @@ class PriceModel {
     return Fn(num_riders) * direct / unit_m_;
   }
 
-  /// Price of an empty vehicle at pick-up distance `pickup`. Increases in
-  /// `pickup`, so a lower bound on pickup gives a lower bound on price.
+  /// Price of an empty vehicle at pick-up distance `pickup`. Evaluated in
+  /// Price's own operation order — new_total = pickup + direct, then
+  /// + direct — so it equals the quote bit for bit; `pickup + 2 * direct`
+  /// can round one unit in the last place above it. Floating-point
+  /// addition is monotone, so a lower bound on pickup gives a lower bound
+  /// on price that never exceeds the quote.
   double EmptyVehiclePrice(int num_riders, roadnet::Weight pickup,
                            roadnet::Weight direct) const {
-    return Fn(num_riders) * (pickup + 2.0 * direct) / unit_m_;
+    return Fn(num_riders) * ((pickup + direct) + direct) / unit_m_;
   }
 
   /// Price floor given a lower bound on the added detour Delta.

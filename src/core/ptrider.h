@@ -58,8 +58,6 @@ struct AdvanceStop {
 /// ChooseOption commits it and updates the indexes. Vehicles report
 /// movement via UpdateVehicleLocation and consume scheduled stops via
 /// VehicleArrivedAtStop; both keep the index modules current.
-class SnapshotView;
-
 class PTRider {
  public:
   /// Builds the system over `graph` (kept by reference; must outlive the
@@ -221,12 +219,6 @@ class PTRider {
   /// Vehicle currently serving `id`, or kInvalidVehicle.
   vehicle::VehicleId AssignedVehicle(vehicle::RequestId id) const;
 
-  /// The const capability view the pipelined tick engine hands its
-  /// overlapped match stage (DESIGN.md section 15). Valid only while no
-  /// mutating call overlaps — the pipeline driver guarantees that by
-  /// joining the stage before any commit.
-  SnapshotView Frozen() const;
-
  private:
   PTRider(const roadnet::RoadNetwork& graph, Config config,
           roadnet::GridIndex grid,
@@ -254,39 +246,6 @@ class PTRider {
   };
   std::unordered_map<vehicle::RequestId, Assignment> assignments_;
 };
-
-/// A const capability view over the system: exactly what a concurrently
-/// running match stage may read, and nothing it could mutate. The
-/// pipelined tick engine (DESIGN.md section 15) overlaps a window's
-/// sharded match with the same tick's movement advance; stage code that
-/// holds only a SnapshotView cannot call ChooseOption, vehicle updates
-/// or any other mutator by construction, so the frozen-snapshot contract
-/// of the overlap is a compile-time fact rather than a comment. The view
-/// borrows the system; the caller keeps it alive and un-mutated for the
-/// view's lifetime.
-class SnapshotView {
- public:
-  explicit SnapshotView(const PTRider& system) : system_(&system) {}
-
-  /// The read-only match (see PTRider::MatchReadOnly): any number of
-  /// calls may run concurrently with caller-owned oracles.
-  MatchResult MatchReadOnly(const vehicle::Request& request, double now_s,
-                            roadnet::DistanceOracle& oracle,
-                            const pricing::PricingPolicy* pricing = nullptr,
-                            const MatchEffort* effort = nullptr) const {
-    return system_->MatchReadOnly(request, now_s, oracle, pricing, effort);
-  }
-
-  const Config& config() const { return system_->config(); }
-  const roadnet::RoadNetwork& graph() const { return system_->graph(); }
-  const roadnet::GridIndex& grid() const { return system_->grid(); }
-  const vehicle::Fleet& fleet() const { return system_->fleet(); }
-
- private:
-  const PTRider* system_;
-};
-
-inline SnapshotView PTRider::Frozen() const { return SnapshotView(*this); }
 
 }  // namespace ptrider::core
 

@@ -30,22 +30,13 @@ namespace ptrider::dispatch {
 /// not-yet-committed request whose options are stale too is re-matched
 /// in the same parallel sweep, and a per-request watermark into the
 /// commit log replaces the all-or-nothing phase-1 staleness test
-/// (DESIGN.md section 15).
+/// (DESIGN.md section 5).
 ///
 /// The result is deterministic and item-for-item identical to
 /// core::BatchDispatcher for every chooser, matcher and pricing policy
 /// (tests/dispatch_parallel_test.cpp proves it); threads only buy
 /// latency.
-///
-/// The dispatcher is also a core::StagedDispatcher: the pipelined tick
-/// engine calls PrepareMatch / RunMatch / CommitMatch separately so the
-/// read-only RunMatch stage can overlap the same tick's movement advance
-/// on a dispatch::PipelineExecutor stage thread. `staged_` holds the
-/// state between the calls under the single-owner protocol declared in
-/// core/batch.h — no lock is needed because the caller's join orders the
-/// stage hand-offs.
-class ParallelDispatcher : public core::Dispatcher,
-                           public core::StagedDispatcher {
+class ParallelDispatcher : public core::Dispatcher {
  public:
   /// `num_threads` matching threads total, the dispatching thread
   /// included (clamped to >= 1): num_threads - 1 pool workers are
@@ -59,15 +50,6 @@ class ParallelDispatcher : public core::Dispatcher,
       const core::BatchChooser& chooser) override;
 
   const char* name() const override { return "parallel"; }
-
-  core::StagedDispatcher* staged() override { return this; }
-
-  // --- Staged stages (core::StagedDispatcher) ------------------------------
-  bool PrepareMatch(std::vector<vehicle::Request> batch,
-                    double now_s) override;
-  void RunMatch() override;
-  util::Result<std::vector<core::BatchItem>> CommitMatch(
-      const core::BatchChooser& chooser) override;
 
   size_t num_threads() const { return pool_.num_threads(); }
 
@@ -101,37 +83,14 @@ class ParallelDispatcher : public core::Dispatcher,
   /// scales with threads.
   double match_phase_seconds() const { return match_phase_seconds_; }
   /// Cumulative wall-clock of the sequential commit phase (commits,
-  /// re-validation, choosers) — the Amdahl floor; the pipelined tick
-  /// engine overlaps the match phase with movement instead of shrinking
-  /// this one.
+  /// re-validation, choosers) — the Amdahl floor.
   double commit_phase_seconds() const { return commit_phase_seconds_; }
 
  private:
-  /// Staged-dispatch state alive between PrepareMatch and CommitMatch.
-  /// Single-owner protocol (core/batch.h): exactly one thread touches it
-  /// at any instant — the owning thread in Prepare/Commit, at most one
-  /// stage thread in RunMatch, with the caller's fork/join providing the
-  /// ordering. Not lock-guarded by design; overlapping calls are a
-  /// driver bug, not a data-race to paper over.
-  struct Staged {
-    std::vector<vehicle::Request> batch;
-    std::vector<util::Status> valid;
-    std::vector<std::unique_ptr<pricing::PricingPolicy>> snapshots;
-    std::vector<core::MatchResult> matches;
-    double now_s = 0.0;
-    bool snapshot_pricing = false;
-    /// Degenerate ids: CommitMatch must route through the sequential
-    /// reference wholesale.
-    bool fallback = false;
-    /// PrepareMatch ran and CommitMatch has not consumed it yet.
-    bool armed = false;
-  };
-
   core::PTRider* system_;
   core::BatchDispatcher sequential_;
   WorkerPool pool_;
   core::DegradeMode degrade_;
-  Staged staged_;
   uint64_t rematch_count_ = 0;
   uint64_t reprobe_count_ = 0;
   uint64_t rematch_skips_ = 0;

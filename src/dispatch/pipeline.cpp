@@ -1,14 +1,12 @@
 #include "dispatch/pipeline.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/timer.h"
 
 namespace ptrider::dispatch {
 
-PipelineExecutor::PipelineExecutor(size_t stage_threads)
-    : pool_(std::max<size_t>(1, stage_threads)) {}
+PipelineExecutor::PipelineExecutor() : pool_(kStageThreads) {}
 
 void PipelineExecutor::Launch(std::function<void()> fn,
                               double* out_seconds) {
@@ -30,11 +28,6 @@ double PipelineExecutor::AwaitAll() {
   util::MutexLock lock(mu_);
   while (inflight_ > 0) idle_cv_.Wait(mu_);
   return timer.ElapsedSeconds();
-}
-
-bool PipelineExecutor::Idle() const {
-  util::MutexLock lock(mu_);
-  return inflight_ == 0;
 }
 
 }  // namespace ptrider::dispatch

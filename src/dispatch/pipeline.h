@@ -11,12 +11,11 @@
 namespace ptrider::dispatch {
 
 /// Stage executor of the pipelined tick engine (DESIGN.md section 15):
-/// runs whole pipeline stages — a window's sharded match, a floated
-/// end-of-tick reindex — on dedicated stage threads so the driver thread
-/// can execute another stage of the same schedule concurrently. The
-/// stages themselves fan out onto their own WorkerPools (the dispatcher's
-/// match pool, the simulator's movement pool); this class only provides
-/// the fork/join points between them.
+/// runs floated end-of-tick reindex batches on dedicated stage threads
+/// so the driver thread can go on with the next tick's movement while
+/// an index commit lands. This class only provides the fork/join points;
+/// what may run concurrently (batches with disjoint shard masks) is the
+/// simulator's decision.
 ///
 /// Locking contract (machine-checked under clang, DESIGN.md section 13):
 /// `inflight_` is GUARDED_BY(mu_) — incremented by the driver inside
@@ -32,8 +31,7 @@ namespace ptrider::dispatch {
 /// calls Launch/AwaitAll. Stages must not Launch further stages.
 class PipelineExecutor {
  public:
-  /// Starts `stage_threads` dedicated stage threads (clamped to >= 1).
-  explicit PipelineExecutor(size_t stage_threads);
+  PipelineExecutor();
 
   /// Enqueues `fn` as a stage. If `out_seconds` is non-null it receives
   /// the stage body's wall-clock seconds; read it only after the
@@ -47,14 +45,13 @@ class PipelineExecutor {
   /// overlap with useful work.
   double AwaitAll() EXCLUDES(mu_);
 
-  /// True when no launched stage is pending or running.
-  bool Idle() const EXCLUDES(mu_);
-
-  size_t stage_threads() const { return pool_.num_workers(); }
-
  private:
+  /// Two stage threads, so a floated batch whose shards are disjoint
+  /// from the one in flight applies concurrently instead of queueing.
+  static constexpr size_t kStageThreads = 2;
+
   ThreadPool pool_;
-  mutable util::Mutex mu_;
+  util::Mutex mu_;
   util::CondVar idle_cv_;
   size_t inflight_ GUARDED_BY(mu_) = 0;
 };

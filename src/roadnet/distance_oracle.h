@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "roadnet/astar.h"
-#include "roadnet/bidirectional_dijkstra.h"
 #include "roadnet/ch.h"
 #include "roadnet/dijkstra.h"
 #include "roadnet/graph.h"
@@ -104,7 +103,6 @@ class DistanceOracle {
   DistanceOracleOptions options_;
 
   std::unique_ptr<DijkstraEngine> dijkstra_;
-  std::unique_ptr<BidirectionalDijkstra> bidirectional_;
   std::unique_ptr<AStarEngine> astar_;
   /// kContractionHierarchy: the immutable index, shared across clones...
   std::shared_ptr<const CHIndex> ch_index_;

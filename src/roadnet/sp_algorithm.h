@@ -10,18 +10,17 @@ namespace ptrider::roadnet {
 /// pulling in every search engine.
 enum class SpAlgorithm {
   kDijkstra,
-  kBidirectional,
   kAStar,
   /// Contraction hierarchies (roadnet/ch.h): one-time preprocessing
   /// shared read-only across DistanceOracle::Clone()s, then exact
   /// bidirectional upward queries that settle orders of magnitude fewer
-  /// vertices than kBidirectional (DESIGN.md section 7).
+  /// vertices than A* (DESIGN.md section 7).
   kContractionHierarchy,
 };
 
 const char* SpAlgorithmName(SpAlgorithm algo);
 
-/// Parses "dijkstra" / "bidirectional" / "astar" / "ch" (alias
+/// Parses "dijkstra" / "astar" / "ch" (alias
 /// "contraction-hierarchy"); false when `name` matches none.
 bool SpAlgorithmFromName(std::string_view name, SpAlgorithm* out);
 

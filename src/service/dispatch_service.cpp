@@ -215,17 +215,21 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
 
   // One batch-window drain at simulated instant `now_s`: admission,
   // latency stamping, dispatch, outcome accounting. `with_tick` runs
-  // the boundary movement tick from `prev_s` as part of the same
-  // Simulator::StepWindow — which is what lets the pipelined tick
-  // engine overlap this window's match with the tick's advance
-  // (depth >= 2); without it the batch dispatches alone (the epilogue's
-  // final partial window, which has no tick left to pair with).
+  // the boundary movement tick from `prev_s` after the dispatch, as one
+  // Simulator::StepWindow; without it the batch dispatches alone (the
+  // epilogue's final partial window, which has no tick left to pair
+  // with).
   auto drain_and_dispatch = [&](double prev_s, double now_s,
                                 bool with_tick) -> util::Status {
     util::WallTimer phase_timer;
     stats.queue_depth.Add(static_cast<double>(queue.size()));
     staged.clear();
     const size_t drained = queue.DrainTo(staged);
+    // Queue waits are measured on the clock the ingest stamps came from.
+    // In wall mode that is a fresh read, not the tick instant: a loop
+    // lagging real time drains after `now_s`, and the lag is queueing
+    // delay the deadline shedder and the ladder must see.
+    const double drain_clock_s = virt ? now_s : clock->NowS();
 
     // FaultPoint::kDrain: cost spikes scale the modeled per-request
     // cost; stall windows suspend the backlog pay-down.
@@ -247,7 +251,8 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
     size_t zones_in_drain = 0;
     double min_wait = 0.0;
     for (size_t i = 0; i < staged.size(); ++i) {
-      const double wait = std::max(0.0, now_s - staged[i].ingest_time_s);
+      const double wait =
+          std::max(0.0, drain_clock_s - staged[i].ingest_time_s);
       if (i == 0 || wait < min_wait) min_wait = wait;
       const size_t z = zone_of(staged[i].trip.origin);
       staged_zone.push_back(z);
@@ -285,7 +290,8 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
     delays.clear();
     for (size_t i = 0; i < staged.size(); ++i) {
       const IngestedTrip& in = staged[i];
-      const double queue_wait = std::max(0.0, now_s - in.ingest_time_s);
+      const double queue_wait =
+          std::max(0.0, drain_clock_s - in.ingest_time_s);
       const double delay = virt ? queue_wait + backlog_s : queue_wait;
       const ShedReason verdict = admission.Admit(delay, staged_zone[i]);
       if (verdict != ShedReason::kAdmit) {
@@ -299,6 +305,10 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
         continue;
       }
       vehicle::Request r = sim.MakeRequest(in.trip);
+      // Wall mode: place the arrival `queue_wait` before the tick
+      // instant, so submit delay reads the measured wait even when the
+      // trip's scheduled instant lies past a lagging tick.
+      if (!virt) r.submit_time_s = now_s - queue_wait;
       // Robustness: an invalid request (e.g. an injected malformed
       // fault) is absorbed — counted, skipped — never allowed to abort
       // the service loop.
@@ -332,9 +342,10 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
     // would overstate the phase).
     report.sim.match_phase_seconds += phase_timer.ElapsedSeconds();
 
-    // Ids were issued in staged (time) order and ingest stamps are
-    // nondecreasing, so the dispatcher's (submit_time, id) commit order
-    // is the staged order: items[i] pairs with delays[i].
+    // Ids were issued in staged (time) order and virtual ingest stamps
+    // are nondecreasing, so the dispatcher's (submit_time, id) commit
+    // order is the staged order: items[i] pairs with delays[i]. Wall
+    // mode looks each item's ingest stamp up by id instead.
     util::Result<std::vector<core::BatchItem>> items = [&] {
       if (with_tick) {
         return sim.StepWindow(std::move(batch), prev_s, now_s, report.sim,
@@ -352,16 +363,20 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
     const double done_s = virt ? 0.0 : clock->NowS();
     for (size_t i = 0; i < items->size(); ++i) {
       const core::BatchItem& item = (*items)[i];
-      if (!virt) ingest_time.erase(item.request.id);
+      double ingest_s = 0.0;
+      if (!virt) {
+        const auto it = ingest_time.find(item.request.id);
+        if (it != ingest_time.end()) {
+          ingest_s = it->second;
+          ingest_time.erase(it);
+        }
+      }
       if (!item.assigned) continue;
       ++stats.assigned;
-      if (virt) {
-        stats.assign_latency_s.Add(delays[i] + cost_eff);
-      } else {
-        // delays[i] is the queue wait, so now_s - delays[i] recovers the
-        // ingestion instant; done_s is the post-dispatch clock read.
-        stats.assign_latency_s.Add(done_s - (now_s - delays[i]));
-      }
+      // Virtual: modeled wait plus service cost. Wall: ingest stamp to
+      // the post-dispatch clock read.
+      stats.assign_latency_s.Add(virt ? delays[i] + cost_eff
+                                      : done_s - ingest_s);
     }
     report.sim.match_phase_seconds += phase_timer.ElapsedSeconds();
     return util::Status::Ok();
@@ -388,8 +403,7 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
     }
     ingress_faults(now);
     if (now + 1e-9 >= static_cast<double>(next_window) * opt.batch_window_s) {
-      // Boundary: window + movement tick as one StepWindow, so the
-      // pipelined tick engine can overlap them (depth >= 2).
+      // Boundary: the window's dispatch, then its movement tick.
       PTRIDER_RETURN_IF_ERROR(drain_and_dispatch(prev, now,
                                                  /*with_tick=*/true));
       while (static_cast<double>(next_window) * opt.batch_window_s <=
@@ -424,7 +438,7 @@ util::Result<ServiceReport> DispatchService::Run(ArrivalProcess& process) {
   driver.GiveUpPending();
   PTRIDER_RETURN_IF_ERROR(drain_and_dispatch(now, now,
                                              /*with_tick=*/false));
-  // Land any still-floating pipeline stage before the report is sealed.
+  // Land any still-floating reindex batch before the report is sealed.
   PTRIDER_RETURN_IF_ERROR(sim.FinishStepping(report.sim));
 
   if (!virt) {

@@ -67,8 +67,7 @@ struct SimulationReport {
   // --- Phase split (wall clock; like wall_clock_seconds, excluded from
   // determinism comparisons) --------------------------------------------------
   //
-  // With SimulatorOptions::pipeline_depth > 1 the phases OVERLAP — the
-  // sharded match runs concurrently with the movement advance, and
+  // With SimulatorOptions::pipeline_depth > 1 the phases OVERLAP —
   // floated reindex batches run under later ticks — so these per-phase
   // sums measure per-phase occupancy and do NOT add up to
   // wall_clock_seconds (the gap is exactly the overlap the pipeline
@@ -84,13 +83,13 @@ struct SimulationReport {
   /// End-of-tick vehicle-index re-registration (the shard-concurrent
   /// part of the movement commit; DESIGN.md section 10), cumulative.
   double index_update_seconds = 0.0;
-  /// Wall clock the pipelined tick engine spent doing BOTH a match stage
-  /// and driver-thread work at once (depth >= 2 overlap actually
-  /// realized); 0 at depth 1.
+  /// Wall clock floated reindex batches ran while the driver thread
+  /// did other work (depth >= 2 overlap actually realized); 0 at
+  /// depth 1.
   double pipeline_fill_seconds = 0.0;
-  /// Wall clock the driver spent blocked joining pipeline stages (match
-  /// join after the advance finished first, or a reindex join before an
-  /// index reader); 0 at depth 1.
+  /// Wall clock the driver spent blocked joining floated reindex
+  /// batches (before an index reader, or on a shard-mask conflict); 0
+  /// at depth 1.
   double pipeline_stall_seconds = 0.0;
 
   /// Demo statistic: completed-and-shared / completed.

@@ -122,7 +122,7 @@ util::Result<std::vector<core::BatchItem>> Simulator::DispatchBatch(
         "DispatchBatch needs BeginStepping (or a batched Run) first");
   }
   // The match walks the vehicle index; floated reindex batches must
-  // land first (no-op below depth 3).
+  // land first (no-op at depth 1).
   JoinReindex(report);
   // The chooser runs in the dispatcher's sequential commit phase, in
   // (submit_time, id) order — rng_ consumption is identical for every
@@ -176,11 +176,7 @@ util::Status Simulator::BeginStepping() {
 
 void Simulator::EnsurePipeline() {
   if (options_.pipeline_depth <= 1 || pipeline_ != nullptr) return;
-  // One stage thread carries the overlapped match; a second one the
-  // floated reindex batches (depth >= 3) so a long match stage never
-  // delays an index commit behind it.
-  pipeline_ = std::make_unique<dispatch::PipelineExecutor>(
-      options_.pipeline_depth >= 3 ? 2 : 1);
+  pipeline_ = std::make_unique<dispatch::PipelineExecutor>();
 }
 
 util::Status Simulator::AdvanceTick(double prev, double now,
@@ -189,17 +185,7 @@ util::Status Simulator::AdvanceTick(double prev, double now,
     return util::Status::InvalidArgument("ticks must move forward");
   }
   const double budget = system_->config().speed_mps * (now - prev);
-  if (!FloatingReindex()) return MovePhase(now, budget, report);
-  // Depth >= 3: same stages, but the reindex floats onto a stage
-  // thread and overlaps the NEXT tick's advance/commit (movement never
-  // reads the index; DESIGN.md section 15).
-  RunAdvance(now, budget, report);
-  const util::Status moved = CommitMove(now, report);
-  // Like MovePhase, reindex even after a commit error: vehicles
-  // committed before the failure must still reach the index.
-  PrepareReindex(report);
-  FloatReindex(report);
-  return moved;
+  return MovePhase(now, budget, report);
 }
 
 util::Result<std::vector<core::BatchItem>> Simulator::StepWindow(
@@ -214,70 +200,11 @@ util::Result<std::vector<core::BatchItem>> Simulator::StepWindow(
     return util::Status::FailedPrecondition(
         "StepWindow needs BeginStepping (or a batched Run) first");
   }
-  core::StagedDispatcher* staged =
-      pipeline_ != nullptr && !batch.empty() ? dispatcher->staged()
-                                             : nullptr;
-  if (staged == nullptr) {
-    // Depth-1 order (also the route for unstaged dispatchers and empty
-    // windows, which today never touch the dispatcher): dispatch the
-    // window, then run the boundary movement tick.
-    util::WallTimer phase_timer;
-    auto items = DispatchBatch(std::move(batch), now, report, dispatcher);
-    report.match_phase_seconds += phase_timer.ElapsedSeconds();
-    PTRIDER_RETURN_IF_ERROR(items.status());
-    PTRIDER_RETURN_IF_ERROR(AdvanceTick(prev, now, report));
-    return items;
-  }
-
-  // Pipelined boundary: the window's read-only match runs on a stage
-  // thread concurrently with this tick's movement advance — both read
-  // the frozen pre-window fleet/index/pricing snapshot (DESIGN.md
-  // section 15). Everything mutating stays on this thread, in the
-  // depth-1 order: match commit (rider rng), redo of assigned
-  // vehicles' advances, movement commit (idle rng), reindex.
-  JoinReindex(report);  // the match stage reads the index
-  const double budget = system_->config().speed_mps * (now - prev);
   util::WallTimer phase_timer;
-  const bool prepared = staged->PrepareMatch(std::move(batch), now);
-  report.match_phase_seconds += phase_timer.ElapsedSeconds();
-  double stage_seconds = 0.0;
-  if (prepared) {
-    pipeline_->Launch([staged] { staged->RunMatch(); }, &stage_seconds);
-  }
-  util::WallTimer driver_timer;
-  RunAdvance(now, budget, report);
-  const double driver_seconds = driver_timer.ElapsedSeconds();
-  if (prepared) {
-    const double stall = pipeline_->AwaitAll();
-    report.pipeline_stall_seconds += stall;
-    report.pipeline_fill_seconds += std::min(stage_seconds, driver_seconds);
-    report.match_phase_seconds += stage_seconds;
-  }
-
-  phase_timer.Restart();
-  const core::BatchChooser chooser =
-      [this, now](const vehicle::Request& r,
-                  const core::MatchResult& match) {
-        return PickOption(r, match, now);
-      };
-  auto items = staged->CommitMatch(chooser);
+  auto items = DispatchBatch(std::move(batch), now, report, dispatcher);
   report.match_phase_seconds += phase_timer.ElapsedSeconds();
   PTRIDER_RETURN_IF_ERROR(items.status());
-  for (const core::BatchItem& item : *items) {
-    PTRIDER_RETURN_IF_ERROR(RecordOutcome(
-        item.request, item.match, item.assigned ? &item.chosen : nullptr,
-        now, report));
-  }
-  SyncAssignedMasks(*items);
-  RedoAdvance(now, budget, *items, report);
-  const util::Status moved = CommitMove(now, report);
-  PrepareReindex(report);
-  if (FloatingReindex()) {
-    FloatReindex(report);
-  } else {
-    ApplyReindexNow(report);
-  }
-  PTRIDER_RETURN_IF_ERROR(moved);
+  PTRIDER_RETURN_IF_ERROR(AdvanceTick(prev, now, report));
   return items;
 }
 
@@ -288,13 +215,18 @@ util::Status Simulator::FinishStepping(SimulationReport& report) {
 
 util::Status Simulator::MovePhase(double now, double budget,
                                   SimulationReport& report) {
-  // The depth-1 composition of the movement stages — identical
-  // operation order and timer placement to the historical monolithic
-  // phase.
   RunAdvance(now, budget, report);
   const util::Status moved = CommitMove(now, report);
+  // Reindex even after a commit error: vehicles committed before the
+  // failure must still reach the index. At depth >= 2 the batch floats
+  // onto a stage thread and overlaps the NEXT tick's advance/commit
+  // (movement never reads the index; DESIGN.md section 15).
   PrepareReindex(report);
-  ApplyReindexNow(report);
+  if (FloatingReindex()) {
+    FloatReindex(report);
+  } else {
+    ApplyReindexNow(report);
+  }
   return moved;
 }
 
@@ -323,25 +255,6 @@ void Simulator::RunAdvance(double now, double budget,
           AdvanceVehicle(*system_, static_cast<vehicle::VehicleId>(i),
                          motions_[i], now, budget, system_->oracle());
     }
-  }
-  report.move_advance_seconds += timer.ElapsedSeconds();
-}
-
-void Simulator::RedoAdvance(double now, double budget,
-                            const std::vector<core::BatchItem>& items,
-                            SimulationReport& report) {
-  // The overlapped advance ran against pre-commit state; the depth-1
-  // order advances AFTER the dispatch, so vehicles the window's commits
-  // touched (new stops via ChooseOption, re-targeted motion via
-  // ReplanMotion) must be re-advanced. AdvanceVehicle is a pure
-  // function of one vehicle's state, so exactly these slots differ.
-  util::WallTimer timer;
-  for (const core::BatchItem& item : items) {
-    if (!item.assigned) continue;
-    const size_t i = static_cast<size_t>(item.chosen.vehicle);
-    advances_[i] =
-        AdvanceVehicle(*system_, item.chosen.vehicle, motions_[i], now,
-                       budget, system_->oracle());
   }
   report.move_advance_seconds += timer.ElapsedSeconds();
 }
@@ -447,8 +360,8 @@ void Simulator::SyncAssignedMasks(
   // A dispatch commit re-registers assigned vehicles through the
   // dispatcher's own (synchronous) reindex flush, bypassing the float
   // path that normally maintains reindex_mask_. Every dispatch runs
-  // against a joined index (DispatchBatch / StepWindow join first and
-  // float nothing before the commit), so reading it here is safe.
+  // against a joined index (DispatchBatch joins first and floats nothing
+  // before the commit), so reading it here is safe.
   if (!FloatingReindex() || !masks_valid_) return;
   const vehicle::VehicleIndex& index = system_->vehicle_index();
   for (const core::BatchItem& item : items) {
@@ -620,9 +533,9 @@ util::Result<SimulationReport> Simulator::Run(
     move_pool_ = std::make_unique<dispatch::WorkerPool>(
         *system_, static_cast<size_t>(options_.move_jobs));
   }
-  // Per-request mode matches against live state inside the tick — there
-  // is no read-only stage to overlap, so the pipeline only engages
-  // batched runs.
+  // Per-request mode matches against live state inside every tick, so
+  // each tick would join the floated batch it just launched: the
+  // pipeline only engages batched runs.
   if (batched) EnsurePipeline();
   for (size_t i = 1; i < trips.size(); ++i) {
     if (trips[i].time_s < trips[i - 1].time_s) {
@@ -666,8 +579,7 @@ util::Result<SimulationReport> Simulator::Run(
       report.match_phase_seconds += phase_timer.ElapsedSeconds();
       if (now + 1e-9 >= static_cast<double>(next_window) *
                             options_.batch_window_s) {
-        // Window boundary: dispatch + boundary tick as one StepWindow,
-        // pipelined per options_.pipeline_depth.
+        // Window boundary: dispatch, then the boundary tick.
         std::vector<vehicle::Request> batch = std::move(pending_);
         pending_.clear();
         PTRIDER_RETURN_IF_ERROR(

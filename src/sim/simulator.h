@@ -50,51 +50,17 @@ struct SimulatorOptions {
   /// buy movement latency at large fleet counts.
   int move_jobs = 1;
   /// Stage-pipelining depth of the batched tick engine (DESIGN.md
-  /// section 15). 1 = the strictly sequential loop (the reference: same
-  /// code path, byte-identical behavior). 2 overlaps each window's
-  /// read-only sharded match with the boundary tick's movement advance
-  /// on a dispatch::PipelineExecutor stage thread. >= 3 additionally
-  /// floats end-of-tick index re-registration batches onto a stage
-  /// thread, overlapping subsequent ticks until an index reader joins
-  /// them — batches touching disjoint index shards stay concurrently in
-  /// flight. Reports are bit-identical across depths at every
-  /// dispatch_threads x index_shards x move_jobs x seed setting
+  /// section 15). 1 runs every stage inline: the strictly sequential
+  /// loop, the reference. >= 2 floats each tick's end-of-tick index
+  /// re-registration batch onto a dispatch::PipelineExecutor stage
+  /// thread, overlapping later ticks' movement until something reads the
+  /// index (the next window's dispatch) and joins it; batches touching
+  /// disjoint index shards stay concurrently in flight. Every depth >= 2
+  /// runs the same schedule. Reports are bit-identical across depths at
+  /// every dispatch_threads x index_shards x move_jobs x seed setting
   /// (tests/sim_pipeline_test.cpp); depth only buys wall clock. Treated
-  /// as 1 in per-request mode (batch_window_s == 0), which matches each
-  /// request against live state and leaves nothing to overlap.
+  /// as 1 in per-request mode (batch_window_s == 0).
   int pipeline_depth = 1;
-};
-
-/// The batched tick loop decomposed into its schedulable stages, in the
-/// depth-1 (sequential reference) execution order. StepWindow and
-/// AdvanceTick are the only drivers of these stages; the stage-order
-/// lint rule (tools/ptrider_lint.cpp) keeps it that way.
-enum class Stage {
-  kCollect,      ///< due-trip ingestion into the pending window
-  kMatch,        ///< the dispatcher's (possibly sharded) read-only match
-  kCommitMatch,  ///< sequential option commit + rider choice + outcome fold
-  kAdvance,      ///< per-vehicle movement advance against the frozen tick
-  kCommitMove,   ///< sequential movement commit + idle cruising
-  kReindex,      ///< shard-concurrent vehicle-index re-registration
-};
-
-/// One window's stage schedule, as planned by the pipeline driver:
-/// which stages run on a PipelineExecutor stage thread instead of
-/// inline, as a pure function of the configured depth and the
-/// dispatcher's staged() capability. Exposed mostly for tests and
-/// benches to assert the engine is doing what the depth asks.
-struct StagePlan {
-  /// kMatch launches onto a stage thread, overlapping kAdvance.
-  bool overlap_match = false;
-  /// kReindex floats onto a stage thread, overlapping later ticks.
-  bool float_reindex = false;
-
-  static StagePlan For(int pipeline_depth, bool staged_dispatcher) {
-    StagePlan plan;
-    plan.overlap_match = pipeline_depth >= 2 && staged_dispatcher;
-    plan.float_reindex = pipeline_depth >= 3;
-    return plan;
-  }
 };
 
 /// Event-driven city simulation (Section 4's demonstration): feeds a trip
@@ -136,21 +102,14 @@ class Simulator {
       std::vector<vehicle::Request> batch, double now,
       SimulationReport& report, core::Dispatcher* dispatcher = nullptr);
   /// One movement tick from `prev` to `now` (fleet budget pro-rated to
-  /// the interval, exactly like Run's tick loop). At pipeline depth >= 3
+  /// the interval, exactly like Run's tick loop). At pipeline depth >= 2
   /// the tick's index re-registration batch floats onto a stage thread
   /// (joined before the next index reader) instead of applying inline.
   util::Status AdvanceTick(double prev, double now,
                            SimulationReport& report);
-  /// One window boundary: dispatches `batch` at `now` AND runs the
-  /// boundary movement tick from `prev`, per the configured
-  /// StagePlan — at depth >= 2 with a staged dispatcher the window's
-  /// read-only match runs on a stage thread concurrently with the
-  /// tick's movement advance, then commit, movement commit and reindex
-  /// follow in the depth-1 order (assigned vehicles' advances are
-  /// recomputed so the commit sees exactly what dispatch-then-move
-  /// would have; DESIGN.md section 15). Reports and returned items are
-  /// bit-identical to the depth-1 sequence "DispatchBatch; AdvanceTick".
-  /// `route` as in DispatchBatch.
+  /// One window boundary: DispatchBatch at `now`, then the boundary
+  /// movement tick from `prev` (AdvanceTick). `route` as in
+  /// DispatchBatch.
   util::Result<std::vector<core::BatchItem>> StepWindow(
       std::vector<vehicle::Request> batch, double prev, double now,
       SimulationReport& report, core::Dispatcher* route = nullptr);
@@ -159,12 +118,6 @@ class Simulator {
   /// (Run does this itself); without it, floated reindex seconds are
   /// missing from the report and index state may still be in flight.
   util::Status FinishStepping(SimulationReport& report);
-  /// The stage schedule the current options + dispatcher produce.
-  StagePlan plan() const {
-    return StagePlan::For(
-        options_.pipeline_depth,
-        dispatcher_ != nullptr && dispatcher_->staged() != nullptr);
-  }
   /// The dispatcher BeginStepping created (null before); the service
   /// installs its quote-latency MatchObserver here.
   core::Dispatcher* dispatcher() { return dispatcher_.get(); }
@@ -206,45 +159,33 @@ class Simulator {
   /// deferred out of the commit loop: every vehicle that moved is
   /// re-registered once at the end of the tick, in vehicle-id order per
   /// shard, shard-concurrently when move_jobs > 1 (DESIGN.md
-  /// section 10).
+  /// section 10). At pipeline depth >= 2 they float instead
+  /// (FloatReindex).
   util::Status MovePhase(double now, double budget,
                          SimulationReport& report);
-  // --- MovePhase decomposed into pipeline stages ---------------------------
-  // MovePhase is exactly RunAdvance + CommitMove + PrepareReindex +
-  // ApplyReindexNow, in that order with the same timers — the depth-1
-  // composition. The pipelined driver re-assembles the same stages
-  // around overlapped work instead.
-  /// Stage kAdvance: fills advances_ against the frozen tick (parallel
-  /// on move_pool_ when configured). Reads fleet/graph/motions_ only —
-  /// safe concurrently with a read-only match stage.
+  /// MovePhase's advance: fills advances_ against the frozen tick
+  /// (parallel on move_pool_ when configured). Reads
+  /// fleet/graph/motions_ only.
   void RunAdvance(double now, double budget, SimulationReport& report);
-  /// Stage kCommitMove: sequential vehicle-id-order commit of advances_
+  /// MovePhase's commit: sequential vehicle-id-order commit of advances_
   /// plus idle walks (the only rng_ consumers), folding arrival events
   /// into `report` and marking move_dirty_.
   util::Status CommitMove(double now, SimulationReport& report);
-  /// Recomputes advances_ slots of this window's assigned vehicles:
-  /// their schedules/motions changed in the match commit AFTER the
-  /// overlapped advance ran, and the depth-1 order computes advances
-  /// post-commit. AdvanceVehicle is a pure per-vehicle function, so
-  /// redoing exactly these slots restores bit-identity.
-  void RedoAdvance(double now, double budget,
-                   const std::vector<core::BatchItem>& items,
-                   SimulationReport& report);
   /// Builds pending_reindex_ (one end-of-tick registration per
-  /// move_dirty_ vehicle, vehicle-id order) for stage kReindex.
+  /// move_dirty_ vehicle, vehicle-id order).
   void PrepareReindex(SimulationReport& report);
-  /// Applies pending_reindex_ inline (the depth < 3 / sequential path).
+  /// Applies pending_reindex_ inline (the depth-1 path).
   void ApplyReindexNow(SimulationReport& report);
-  /// Depth >= 3: floats pending_reindex_ onto a stage thread. The batch
+  /// Depth >= 2: floats pending_reindex_ onto a stage thread. The batch
   /// is first masked (dispatch::ReindexShardMask over new cells, OR'd
   /// with each vehicle's tracked previous-registration mask so removal
   /// shards are covered); a mask conflict with still-in-flight batches
   /// joins them first, so concurrently floating batches always commit
   /// disjoint shards — checkable via VehicleIndex's ownership tokens.
   void FloatReindex(SimulationReport& report);
-  /// Joins every floated reindex batch (and any other in-flight stage),
-  /// folding stage wall clock into the report. Must run before anything
-  /// reads or synchronously writes the index.
+  /// Joins every floated reindex batch, folding stage wall clock into
+  /// the report. Must run before anything reads or synchronously writes
+  /// the index.
   void JoinReindex(SimulationReport& report);
   /// Rebuilds reindex_mask_ from the quiescent index (initially and
   /// after a shard rebalance moved the cell->shard boundaries).
@@ -252,10 +193,8 @@ class Simulator {
   /// Re-syncs assigned vehicles' tracked registration masks after a
   /// dispatch commit re-registered them outside the float path.
   void SyncAssignedMasks(const std::vector<core::BatchItem>& items);
-  /// True when this run floats reindex batches (depth >= 3, pipelined).
-  bool FloatingReindex() const {
-    return pipeline_ != nullptr && options_.pipeline_depth >= 3;
-  }
+  /// True when this run floats reindex batches (depth >= 2, batched).
+  bool FloatingReindex() const { return pipeline_ != nullptr; }
   /// Creates pipeline_ per options_.pipeline_depth (no-op at depth 1).
   void EnsurePipeline();
   /// The idle-cruising walk of one vehicle's tick remainder, resumed at
@@ -288,10 +227,10 @@ class Simulator {
   std::vector<vehicle::PendingUpdate> pending_reindex_;
 
   // --- Pipelined tick engine (pipeline_depth > 1, batched mode) ------------
-  /// Stage threads for the overlapped match and floated reindex batches
-  /// (created lazily; null at depth 1 — the sequential code path runs
-  /// untouched). Cross-stage synchronization lives behind the
-  /// executor's annotated mutex (dispatch/pipeline.h).
+  /// Stage threads for the floated reindex batches (created lazily; null
+  /// at depth 1 — the sequential code path runs untouched). Cross-stage
+  /// synchronization lives behind the executor's annotated mutex
+  /// (dispatch/pipeline.h).
   std::unique_ptr<dispatch::PipelineExecutor> pipeline_;
   /// One floated (in-flight or joined-pending) reindex batch. `seconds`
   /// is written by the stage thread before the executor's join makes it

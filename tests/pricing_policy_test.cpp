@@ -15,7 +15,9 @@
 #include "pricing/paper_policy.h"
 #include "pricing/shared_discount_policy.h"
 #include "pricing/surge_policy.h"
+#include "roadnet/graph.h"
 #include "roadnet/graph_generator.h"
+#include "util/geo.h"
 #include "util/random.h"
 
 namespace ptrider::pricing {
@@ -62,6 +64,26 @@ TEST(PaperPolicyTest, BitForBitEquivalentToLegacyModel) {
               legacy.EmptyVehiclePrice(n, pickup, direct));
     EXPECT_EQ(policy.PriceWithDetourLb(n, delta, direct),
               legacy.PriceWithDetourLb(n, delta, direct));
+  }
+}
+
+// Regression: the empty-vehicle bound used to evaluate
+// f_n * (pickup + 2 * direct), while the quote for the same empty vehicle
+// evaluates f_n * ((pickup + direct) - 0 + direct); the two could round
+// one unit in the last place apart, the bound above the quote, and the
+// dual-side prune then dropped a tied second empty vehicle. At the exact
+// pick-up distance the bound must equal the quote bit for bit.
+TEST(PaperPolicyTest, EmptyVehicleBoundEqualsQuoteBitForBit) {
+  const PaperPolicy policy(core::PriceModel(0.3, 0.1, 1000.0));
+  util::Rng rng(2024);
+  for (int i = 0; i < 5000; ++i) {
+    const double pickup = rng.UniformDouble(0.0, 3000.0);
+    const double direct = rng.UniformDouble(0.5, 8000.0);
+    const int n = static_cast<int>(rng.UniformInt(1, 4));
+    // An empty vehicle's schedule total is pickup + direct.
+    ASSERT_EQ(policy.EmptyVehiclePrice(n, pickup, direct),
+              policy.Price(MakeQuote(n, 0, 0.0, pickup + direct, direct)))
+        << "n=" << n << " pickup=" << pickup << " direct=" << direct;
   }
 }
 
@@ -466,6 +488,75 @@ TEST(QuotePathTest, QuoteRequestDecaysStaleSurge) {
   }
   // Quote-only: no demand recorded, the multiplier stays at rest.
   EXPECT_DOUBLE_EQ(surge.multiplier(), 1.0);
+}
+
+// Two empty vehicles parked on one vertex quote the identical (pick-up,
+// price) option, and Definition 4 keeps both. The grid bound equals the
+// exact pick-up distance on this straight street, so the dual-side
+// empty-vehicle prune tests the second vehicle against a bound equal to
+// its own quote: it must not prune it. The distances are ones where
+// f_n * (pickup + 2 * direct) rounds above the quote.
+TEST(MatcherEquivalenceTest, TiedEmptyVehiclesAtOneVertex) {
+  roadnet::GraphBuilder builder;
+  const util::Point depot{0.0, 0.0};
+  const util::Point origin{100.2, 0.0};
+  const util::Point destination{400.9, 0.0};
+  const roadnet::VertexId a = builder.AddVertex(depot);
+  const roadnet::VertexId s = builder.AddVertex(origin);
+  const roadnet::VertexId d = builder.AddVertex(destination);
+  const roadnet::VertexId side = builder.AddVertex({0.0, 50.0});
+  ASSERT_TRUE(builder
+                  .AddUndirectedEdge(a, s,
+                                     util::EuclideanDistance(depot, origin))
+                  .ok());
+  ASSERT_TRUE(
+      builder
+          .AddUndirectedEdge(s, d,
+                             util::EuclideanDistance(origin, destination))
+          .ok());
+  ASSERT_TRUE(builder.AddUndirectedEdge(a, side, 50.0).ok());
+  auto graph = builder.Build();
+  ASSERT_TRUE(graph.ok());
+
+  core::Config cfg;
+  cfg.max_planned_pickup_s = 600.0;
+  roadnet::GridIndexOptions gridopts;
+  gridopts.cells_x = 2;
+  gridopts.cells_y = 2;
+  auto sys = core::PTRider::Create(*graph, cfg, gridopts);
+  ASSERT_TRUE(sys.ok());
+  core::PTRider& pt = **sys;
+  ASSERT_TRUE(pt.AddVehicle(a).ok());
+  ASSERT_TRUE(pt.AddVehicle(a).ok());
+
+  const double pickup = pt.oracle().Distance(a, s);
+  const double direct = pt.oracle().Distance(s, d);
+  ASSERT_EQ(pt.grid().LowerBound(a, s), pickup);
+  const core::PriceModel model(cfg);
+  ASSERT_GT(model.Fn(1) * (pickup + 2.0 * direct) / cfg.price_distance_unit_m,
+            model.Price(1, pickup + direct, 0.0, direct))
+      << "the distances no longer exercise the rounding tie";
+
+  vehicle::Request r;
+  r.id = 1;
+  r.start = s;
+  r.destination = d;
+  r.num_riders = 1;
+  r.max_wait_s = cfg.default_max_wait_s;
+  r.service_sigma = cfg.default_service_sigma;
+  const vehicle::ScheduleContext sctx = pt.MakeScheduleContext(0.0);
+  pt.set_matcher(core::MatcherAlgorithm::kNaive);
+  const core::MatchResult naive = pt.matcher().Match(r, sctx);
+  pt.set_matcher(core::MatcherAlgorithm::kDualSide);
+  const core::MatchResult dual = pt.matcher().Match(r, sctx);
+  ASSERT_EQ(naive.options.size(), 2u);
+  ASSERT_EQ(dual.options.size(), naive.options.size());
+  for (size_t k = 0; k < naive.options.size(); ++k) {
+    EXPECT_EQ(dual.options[k].vehicle, naive.options[k].vehicle);
+    EXPECT_EQ(dual.options[k].pickup_distance,
+              naive.options[k].pickup_distance);
+    EXPECT_EQ(dual.options[k].price, naive.options[k].price);
+  }
 }
 
 TEST(MatcherEquivalenceTest, PaperPolicy) {

@@ -27,7 +27,6 @@ RoadNetwork TestCity() {
 TEST(DistanceOracleCloneTest, CloneAnswersIdentically) {
   const RoadNetwork g = TestCity();
   for (const SpAlgorithm algo : {SpAlgorithm::kDijkstra,
-                                 SpAlgorithm::kBidirectional,
                                  SpAlgorithm::kAStar,
                                  SpAlgorithm::kContractionHierarchy}) {
     DistanceOracleOptions opts;

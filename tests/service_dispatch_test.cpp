@@ -228,6 +228,38 @@ TEST(DispatchServiceTest, WallClockSmoke) {
   }
 }
 
+// Regression: wall mode measured queue waits from the tick instant, so
+// a loop lagging real time read waits clamped to 0 — nothing was shed
+// against the deadline and submit delays went negative. At this time
+// scale a simulated second lasts 10 us of wall clock, far less than one
+// window's matching, so the loop falls behind the producer at once and
+// the measured waits must cross the 5 s deadline.
+TEST(DispatchServiceTest, WallClockLagShedsOnMeasuredWait) {
+  ServiceFixture f = MakeFixture(30, 0);
+  ServiceOptions opts;
+  opts.virtual_clock = false;
+  opts.wall_time_scale = 1e5;
+  opts.batch_window_s = 2.0;
+  opts.drain_s = 30.0;
+  opts.queue_capacity = 1 << 14;
+  opts.shed_deadline_s = 5.0;
+  DispatchService server(*f.system, opts);
+  PoissonArrivalOptions load;
+  load.rate_per_s = 5.0;
+  load.duration_s = 60.0;
+  load.seed = 9;
+  PoissonArrivals process(f.graph, load);
+  auto report = server.Run(process);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const ServiceStats& s = report->service;
+  EXPECT_EQ(s.ingested, s.shed + s.dispatched);
+  EXPECT_GT(s.shed_deadline, 0u);
+  // Requests drained within the deadline were dispatched with their
+  // measured wait as submit delay. (A sanitizer build can lag so far
+  // that every request is shed and nothing is dispatched.)
+  EXPECT_GE(report->sim.submit_delay_s.min(), 0.0);
+}
+
 TEST(AdaptiveAdmissionTest, DeadlineIsAlwaysOnHardBound) {
   AdaptiveAdmission a(5.0, LadderOptions{}, ZoneAdmissionOptions{});
   a.BeginDrain(2.0, 1, 6.0, 0, 0.0);

@@ -120,11 +120,8 @@ TEST(SimEquivalenceTest, WholeSimulationIdenticalAcrossSpAlgorithms) {
     return std::move(report).value();
   };
 
-  // kBidirectional is deliberately absent: its meet-in-the-middle sum
-  // (dist_f + dist_b) rounds differently from a left-to-right path sum,
-  // so it is ULP-close but not bit-identical — a pre-existing property
-  // of that engine. Dijkstra, A* and CH all accumulate the shortest
-  // path's original edges in path order and agree exactly.
+  // Dijkstra, A* and CH all accumulate the shortest path's original
+  // edges in path order and agree exactly.
   const SimulationReport astar = run_with(roadnet::SpAlgorithm::kAStar);
   ASSERT_GT(astar.requests_assigned, 40);
   for (const roadnet::SpAlgorithm algo :
