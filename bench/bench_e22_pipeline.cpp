@@ -75,7 +75,7 @@ double Median(std::vector<double> v) {
 
 /// One depth's runs; `cpu` is process CPU time over each run.
 struct Runs {
-  int depth;
+  int depth = 1;
   std::vector<double> wall, cpu, match, advance, commit, reindex, fill,
       stall;
 };
@@ -145,8 +145,8 @@ int main(int argc, char** argv) {
       "%u hardware threads; %d run(s) per depth, medians shown\n\n",
       trips->size(), taxis, hours, hw_threads, reps);
 
-  std::vector<Runs> runs = {{1, {}, {}, {}, {}, {}, {}, {}, {}},
-                            {3, {}, {}, {}, {}, {}, {}, {}, {}}};
+  std::vector<Runs> runs(2);
+  runs[1].depth = 3;
   uint64_t reference_signature = 0;
   bool have_reference = false;
   size_t completed = 0;
